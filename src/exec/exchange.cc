@@ -12,6 +12,7 @@
 #include "src/common/mutex.h"
 #include "src/common/thread_annotations.h"
 #include "src/exec/batch_pool.h"
+#include "src/exec/sort_keys.h"
 #include "src/exec/worker_pool.h"
 #include "src/physical/parallel.h"
 #include "src/trace/exec_profile.h"
@@ -175,7 +176,8 @@ class BatchQueue {
 
 class ExchangeExec : public ExecNode {
  public:
-  ExchangeExec(ExecEnv env, const PlanNode& plan) : env_(env), plan_(&plan) {}
+  ExchangeExec(ExecEnv env, const PlanNode& plan)
+      : env_(env), plan_(&plan), codec_(plan.op.sort.keys) {}
 
   ~ExchangeExec() override { Shutdown(); }
 
@@ -374,13 +376,17 @@ class ExchangeExec : public ExecNode {
     size_t pos = 0;
     bool open = false;       ///< batch holds rows (pos < batch.size())
     bool exhausted = false;  ///< stream closed and drained
-    std::vector<Value> keys; ///< sort keys of the current row
+    /// Encoded sort keys of the current row (SortKeyCodec) and whether
+    /// they are exact.
+    std::vector<uint64_t> keys;
+    bool exact = true;
+
+    EncodedRow head() const {
+      return EncodedRow{keys.data(), exact, batch.ref(pos)};
+    }
   };
 
   Status OpenMerge() {
-    for (const SortKey& k : plan_->op.sort.keys) {
-      key_exprs_.push_back(ScalarExpr::Attr(k.binding, k.field));
-    }
     queues_.clear();
     for (int w = 0; w < dop_; ++w) {
       queues_.push_back(std::make_unique<BatchQueue>(16, /*producers=*/1));
@@ -551,12 +557,9 @@ class ExchangeExec : public ExecNode {
       }
     }
     if (c.exhausted) return Status::OK();
-    TupleRef row = c.batch.ref(c.pos);
-    c.keys.clear();
-    for (const ScalarExprPtr& e : key_exprs_) {
-      OODB_ASSIGN_OR_RETURN(Value v, EvalExpr(*e, row, *env_.ctx));
-      c.keys.push_back(std::move(v));
-    }
+    c.keys.resize(codec_.size());
+    OODB_ASSIGN_OR_RETURN(c.exact, codec_.Encode(c.batch.ref(c.pos),
+                                                  *env_.ctx, c.keys.data()));
     return Status::OK();
   }
 
@@ -568,7 +571,7 @@ class ExchangeExec : public ExecNode {
         OODB_RETURN_IF_ERROR(AdvanceCursor(w));
       }
     }
-    const std::vector<SortKey>& keys = plan_->op.sort.keys;
+    const size_t nkeys = codec_.size();
     const int64_t limit = plan_->op.limit;
     const double row_cpu_s =
         env_.timing().exchange_flow_tuple_s +
@@ -586,12 +589,7 @@ class ExchangeExec : public ExecNode {
           continue;
         }
         const MergeCursor& b = cursors_[static_cast<size_t>(best)];
-        for (size_t i = 0; i < keys.size(); ++i) {
-          int cmp = c.keys[i].Compare(b.keys[i]);
-          if (cmp == 0) continue;
-          if (keys[i].desc ? cmp > 0 : cmp < 0) best = w;
-          break;
-        }
+        if (codec_.Compare(c.head(), b.head(), 0, nkeys) < 0) best = w;
       }
       if (best < 0) break;  // every stream drained
       MergeCursor& c = cursors_[static_cast<size_t>(best)];
@@ -981,6 +979,7 @@ class ExchangeExec : public ExecNode {
 
   ExecEnv env_;
   const PlanNode* plan_;
+  SortKeyCodec codec_;  ///< merge order (merge mode only)
   const PlanNode* driver_ = nullptr;
   int dop_ = 1;
   bool recover_ = false;
@@ -989,7 +988,6 @@ class ExchangeExec : public ExecNode {
   // Merge-mode state (consumer thread only, except the queues):
   std::vector<std::unique_ptr<BatchQueue>> queues_;  ///< one FIFO per worker
   std::vector<MergeCursor> cursors_;
-  std::vector<ScalarExprPtr> key_exprs_;
   bool merge_primed_ = false;
   int64_t merge_emitted_ = 0;
   Mutex pending_mu_{lock_rank::kExchangePending};

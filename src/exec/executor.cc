@@ -84,7 +84,6 @@ Result<ExecStats> ExecutePlan(const PlanNode& plan, ObjectStore* store,
                              1, store->timing().exec_batch_size));
   env.vectorize =
       options.vectorize < 0 ? EnvVectorize() : options.vectorize != 0;
-  env.topk = options.topk;
   env.no_exchange = options.no_exchange;
   env.fault_attempt = options.fault_attempt;
   env.replan_drift_threshold = options.replan_drift_threshold;

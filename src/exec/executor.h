@@ -69,11 +69,6 @@ struct ExecOptions {
   /// Results and simulated costs are identical either way; vectorization
   /// changes wall-clock time only.
   int vectorize = -1;
-  /// Top-k fast paths (bounded heap / streaming first-k cutoff). false
-  /// switches TopKExec to the buffer-all / stable-sort / truncate oracle
-  /// the parity suite diffs the fast paths against. Identical results;
-  /// simulated charges follow the naive algorithm.
-  bool topk = true;
   /// Caller-owned collector for analyzed runs (implies `analyze`). Useful
   /// when the caller needs the partial profile even if execution fails
   /// mid-plan (ExecutePlan returns only a Status then) — e.g. rendering a

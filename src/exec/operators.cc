@@ -1,13 +1,14 @@
 #include "src/exec/operators.h"
 
 #include <algorithm>
-#include <limits>
 #include <map>
+#include <numeric>
 #include <optional>
 #include <unordered_map>
 #include <utility>
 
 #include "src/exec/exchange.h"
+#include "src/exec/sort_keys.h"
 #include "src/trace/exec_profile.h"
 #include "src/verify/verify.h"
 
@@ -1207,105 +1208,154 @@ class HashSetOpExec : public ExecNode {
 };
 
 // ---------------------------------------------------------------------------
+// Rows an order enforcer buffers: one flat Slot arena and, beside it, the
+// fixed-width array of their encoded sort keys (SortKeyCodec), both indexed
+// by row id — no per-row allocation. A row is first staged (its keys
+// encoded straight from the child's batch) and only copied in by Store,
+// so TopK can test a candidate against its heap before paying the copy.
+// ---------------------------------------------------------------------------
+class KeyedRows {
+ public:
+  KeyedRows(std::vector<SortKey> keys, int width)
+      : codec_(std::move(keys)), width_(static_cast<size_t>(width)),
+        staged_keys_(codec_.size()) {}
+
+  size_t size() const { return exact_.size(); }
+  size_t nkeys() const { return codec_.size(); }
+  const SortKeyCodec& codec() const { return codec_; }
+  const uint64_t* keys() const { return keys_.data(); }
+
+  TupleRef row(uint32_t id) const {
+    return TupleRef(slots_.data() + id * width_, width_);
+  }
+  EncodedRow Get(uint32_t id) const {
+    return EncodedRow{keys_.data() + id * nkeys(), exact_[id] != 0, row(id)};
+  }
+
+  /// Encodes the keys of `row`, which must stay valid until Store().
+  Status Stage(TupleRef row, const QueryContext& ctx) {
+    OODB_ASSIGN_OR_RETURN(staged_.exact,
+                          codec_.Encode(row, ctx, staged_keys_.data()));
+    staged_.keys = staged_keys_.data();
+    staged_.row = row;
+    return Status::OK();
+  }
+  const EncodedRow& staged() const { return staged_; }
+
+  /// Copies the staged row into row id `id`; id == size() appends.
+  void Store(uint32_t id) {
+    if (id == size()) {
+      slots_.resize(slots_.size() + width_);
+      keys_.resize(keys_.size() + nkeys());
+      exact_.push_back(0);
+    }
+    std::copy(staged_.row.slots, staged_.row.slots + width_,
+              slots_.begin() + id * width_);
+    std::copy(staged_keys_.begin(), staged_keys_.end(),
+              keys_.begin() + id * nkeys());
+    exact_[id] = staged_.exact ? 1 : 0;
+  }
+
+  /// Fills `out` with the rows order[*pos, ...), advancing *pos.
+  void Emit(const std::vector<uint32_t>& order, size_t* pos,
+            TupleBatch* out) const {
+    while (!out->full() && *pos < order.size()) {
+      out->AppendRowRaw().CopyFrom(row(order[(*pos)++]));
+    }
+  }
+
+ private:
+  SortKeyCodec codec_;
+  size_t width_;
+  std::vector<Slot> slots_;
+  std::vector<uint64_t> keys_;
+  std::vector<uint8_t> exact_;
+  std::vector<uint64_t> staged_keys_;
+  EncodedRow staged_;
+};
+
+// ---------------------------------------------------------------------------
 // Sort (enforcer, extension): multi-key stable sort with per-key direction.
-// A row carries its evaluated key vector so comparisons never re-chase
-// object pointers. When op.sort_prefix > 0 the child already delivers the
-// first `prefix` keys in order (a partial sort): rows are buffered one
-// equal-prefix run at a time and only the run is sorted on the remaining
-// keys, so simulated CPU scales with n*log(run) instead of n*log(n) — the
-// saving PartialSortCost anticipates. Flushed runs are counted on the
-// operator's profile (sort_runs) for EXPLAIN ANALYZE.
+// Rows are buffered in a KeyedRows arena and each run is ordered through a
+// row-id permutation: a stable LSD radix sort over the encoded key words,
+// or — when some row of the run holds a string or NaN key — std::stable_sort
+// under Value::Compare. When op.sort_prefix > 0 the child already delivers
+// the first `prefix` keys in order (a partial sort): each equal-prefix run
+// is sorted on the remaining keys as soon as the next run begins, so
+// simulated CPU scales with n*log(run) instead of n*log(n) — the saving
+// PartialSortCost anticipates. Flushed runs are counted on the operator's
+// profile (sort_runs) for EXPLAIN ANALYZE.
 // ---------------------------------------------------------------------------
 class SortExec : public ExecNode {
  public:
   SortExec(ExecEnv env, const PhysicalOp& op, std::unique_ptr<ExecNode> child,
            OpProfile* prof = nullptr)
-      : env_(env), op_(op), child_(std::move(child)), prof_(prof) {
-    for (const SortKey& k : op_.sort.keys) {
-      key_exprs_.push_back(ScalarExpr::Attr(k.binding, k.field));
-    }
-  }
+      : env_(env), op_(op), child_(std::move(child)), prof_(prof),
+        rows_(op_.sort.keys, env_.num_bindings()) {}
 
   Status Open() override {
     OODB_RETURN_IF_ERROR(child_->Open());
     BatchReader reader(child_.get(), env_.num_bindings(), env_.batch_size);
     TupleRef t;
-    const size_t nkeys = key_exprs_.size();
-    const size_t prefix =
-        std::min(nkeys, static_cast<size_t>(std::max(op_.sort_prefix, 0)));
-    std::vector<Keyed> run;
+    const size_t prefix = std::min(
+        rows_.nkeys(), static_cast<size_t>(std::max(op_.sort_prefix, 0)));
+    uint32_t run_start = 0;
+    bool run_exact = true;
     while (true) {
       OODB_ASSIGN_OR_RETURN(bool more, reader.NextRef(&t));
       if (!more) break;
-      Keyed row;
-      row.keys.reserve(nkeys);
-      for (const ScalarExprPtr& e : key_exprs_) {
-        OODB_ASSIGN_OR_RETURN(Value v, EvalExpr(*e, t, *env_.ctx));
-        row.keys.push_back(std::move(v));
-      }
+      OODB_RETURN_IF_ERROR(rows_.Stage(t, *env_.ctx));
       env_.clock().cpu_s += env_.timing().cpu_hash_probe_s;
       OODB_RETURN_IF_ERROR(env_.ChargeBuffered());
-      if (prefix > 0 && !run.empty() &&
-          !PrefixEqual(run.front().keys, row.keys, prefix)) {
-        FlushRun(&run, prefix);
+      const uint32_t id = static_cast<uint32_t>(rows_.size());
+      if (prefix > 0 && id > run_start &&
+          rows_.codec().Compare(rows_.Get(run_start), rows_.staged(), 0,
+                                prefix) != 0) {
+        FlushRun(run_start, id, run_exact, prefix);
+        run_start = id;
+        run_exact = true;
       }
-      row.tuple = Tuple(t);
-      run.push_back(std::move(row));
+      rows_.Store(id);
+      run_exact &= rows_.staged().exact;
     }
     child_->Close();
-    FlushRun(&run, prefix);
+    FlushRun(run_start, rows_.size(), run_exact, prefix);
     return Status::OK();
   }
 
   Result<size_t> Next(TupleBatch* out) override {
     OODB_RETURN_IF_ERROR(env_.Tick());
     out->Clear();
-    while (!out->full() && pos_ < out_.size()) {
-      out->AppendRow().CopyFrom(out_[pos_++]);
-    }
+    rows_.Emit(order_, &pos_, out);
     return out->size();
   }
 
   void Close() override {}
 
  private:
-  struct Keyed {
-    std::vector<Value> keys;
-    Tuple tuple;
-  };
-
-  static bool PrefixEqual(const std::vector<Value>& a,
-                          const std::vector<Value>& b, size_t prefix) {
-    for (size_t i = 0; i < prefix; ++i) {
-      if (a[i].Compare(b[i]) != 0) return false;
+  /// Sorts rows [begin, end) on keys [prefix, nkeys) and appends them to
+  /// the output order. With prefix == 0 the run is the whole input.
+  void FlushRun(size_t begin, size_t end, bool exact, size_t prefix) {
+    if (begin == end) return;
+    const size_t n = end - begin;
+    const size_t base = order_.size();
+    order_.resize(base + n);
+    uint32_t* run = order_.data() + base;
+    std::iota(run, run + n, static_cast<uint32_t>(begin));
+    if (exact) {
+      RadixSortRows(rows_.keys(), rows_.nkeys(), prefix, run, n, &scratch_);
+    } else {
+      std::stable_sort(run, run + n, [&](uint32_t a, uint32_t b) {
+        return rows_.codec().CompareRows(rows_.row(a), rows_.row(b), prefix,
+                                         rows_.nkeys()) < 0;
+      });
     }
-    return true;
-  }
-
-  /// Stable-sorts the buffered run on keys [prefix, nkeys) and appends it
-  /// to the output. With prefix == 0 the run is the whole input.
-  void FlushRun(std::vector<Keyed>* run, size_t prefix) {
-    if (run->empty()) return;
-    const std::vector<SortKey>& keys = op_.sort.keys;
-    std::stable_sort(run->begin(), run->end(),
-                     [&](const Keyed& a, const Keyed& b) {
-                       for (size_t i = prefix; i < keys.size(); ++i) {
-                         int c = a.keys[i].Compare(b.keys[i]);
-                         if (c != 0) return keys[i].desc ? c > 0 : c < 0;
-                       }
-                       return false;
-                     });
     // Comparison-count model: n*ceil(log2(run)) probes, so a partial sort's
     // shorter runs genuinely cost less simulated time than one global sort.
     double log_run = 1.0;
-    while ((1ull << static_cast<unsigned>(log_run)) < run->size()) {
-      log_run += 1.0;
-    }
-    env_.clock().cpu_s += static_cast<double>(run->size()) * log_run *
+    while ((1ull << static_cast<unsigned>(log_run)) < n) log_run += 1.0;
+    env_.clock().cpu_s += static_cast<double>(n) * log_run *
                           env_.timing().cpu_hash_probe_s;
-    out_.reserve(out_.size() + run->size());
-    for (Keyed& row : *run) out_.push_back(std::move(row.tuple));
-    run->clear();
     if (prefix > 0 && prof_ != nullptr) ++prof_->sort_runs;
   }
 
@@ -1313,82 +1363,73 @@ class SortExec : public ExecNode {
   PhysicalOp op_;
   std::unique_ptr<ExecNode> child_;
   OpProfile* prof_;
-  std::vector<ScalarExprPtr> key_exprs_;
-  std::vector<Tuple> out_;
+  KeyedRows rows_;
+  std::vector<uint32_t> order_;
+  std::vector<uint32_t> scratch_;
   size_t pos_ = 0;
 };
 
 // ---------------------------------------------------------------------------
 // TopK (enforcer, extension): ORDER BY ... LIMIT k without a full sort.
-// Three regimes, chosen by the optimizer through op.sort_prefix:
+// Two regimes, chosen by the optimizer through op.sort_prefix:
 //   - sort_prefix == nkeys (or no sort keys at all): the child already
 //     delivers the full order — stream the first k rows and stop pulling,
 //     so a limited query never drains its input.
-//   - otherwise: a bounded max-heap of k rows keyed on the sort columns;
+//   - otherwise: a bounded max-heap of k row ids over a KeyedRows arena;
 //     the heap root is the worst survivor, and an incoming row replaces it
 //     only when strictly better. Ties keep the earlier row (insertion
 //     sequence numbers make the result the stable top-k, matching what
-//     stable_sort + truncate produces).
-// With vectorize on, batches whose key column extracts as a typed int/real
-// vector are pre-screened against the heap root's leading key so rows that
-// cannot qualify skip Value materialization; simulated charges are
-// identical either way.
+//     stable_sort + truncate produces). An evicted root's arena row is
+//     reused by its replacement, so the arena never exceeds k rows.
 // ---------------------------------------------------------------------------
 class TopKExec : public ExecNode {
  public:
   TopKExec(ExecEnv env, const PhysicalOp& op, std::unique_ptr<ExecNode> child,
            OpProfile* prof = nullptr)
-      : env_(env), op_(op), child_(std::move(child)), prof_(prof) {
-    for (const SortKey& k : op_.sort.keys) {
-      key_exprs_.push_back(ScalarExpr::Attr(k.binding, k.field));
-    }
-  }
+      : env_(env), op_(op), child_(std::move(child)), prof_(prof),
+        streaming_(op_.sort.keys.empty() ||
+                   static_cast<size_t>(op_.sort_prefix) >=
+                       op_.sort.keys.size()),
+        rows_(streaming_ ? std::vector<SortKey>{} : op_.sort.keys,
+              env_.num_bindings()) {}
 
   Status Open() override {
     OODB_RETURN_IF_ERROR(child_->Open());
-    const size_t nkeys = key_exprs_.size();
     const size_t k =
         static_cast<size_t>(std::max<int64_t>(op_.limit, 0));
-    // exec.topk == false: the oracle strategy — buffer everything (the
-    // absorb cap never evicts), stable-sort, truncate below. Identical
-    // rows, naive charges.
-    const bool oracle = !env_.topk;
-    const bool streaming =
-        !oracle &&
-        (nkeys == 0 || static_cast<size_t>(op_.sort_prefix) >= nkeys);
-    const size_t cap = oracle ? std::numeric_limits<size_t>::max() : k;
     if (k == 0) return Status::OK();  // LIMIT 0: empty result, no pulls
     TupleBatch batch(env_.num_bindings(), env_.batch_size);
     bool done = false;
     while (!done) {
       OODB_ASSIGN_OR_RETURN(size_t n, child_->Next(&batch));
       if (n == 0) break;
-      if (streaming) {
+      if (streaming_) {
         for (size_t i = 0; i < batch.active() && !done; ++i) {
           env_.clock().cpu_s += env_.timing().cpu_pred_s;
           OODB_RETURN_IF_ERROR(env_.ChargeBuffered());
-          out_.emplace_back(batch.active_ref(i));
-          done = out_.size() >= k;
+          const uint32_t id = static_cast<uint32_t>(rows_.size());
+          OODB_RETURN_IF_ERROR(rows_.Stage(batch.active_ref(i), *env_.ctx));
+          rows_.Store(id);
+          order_.push_back(id);
+          done = order_.size() >= k;
         }
         continue;
       }
-      OODB_RETURN_IF_ERROR(AbsorbBatch(&batch, cap));
+      OODB_RETURN_IF_ERROR(AbsorbBatch(batch, k));
     }
     child_->Close();
-    if (!streaming) {
+    if (!streaming_) {
       // Heap order is "worst first"; the result is ascending sort order
-      // with insertion sequence breaking ties (stability).
-      std::sort(heap_.begin(), heap_.end(),
+      // with insertion sequence breaking ties (stability). A stable sort,
+      // because NaN keys make Value::Compare no strict weak order, and
+      // std::sort may then run past the range.
+      std::stable_sort(heap_.begin(), heap_.end(),
                 [this](const Entry& a, const Entry& b) {
-                  int c = CompareKeys(a.keys, b.keys);
+                  int c = Order(rows_.Get(a.id), rows_.Get(b.id));
                   if (c != 0) return c < 0;
                   return a.seq < b.seq;
                 });
-      out_.reserve(std::min(heap_.size(), k));
-      for (Entry& e : heap_) {
-        if (out_.size() >= k) break;
-        out_.push_back(std::move(e.tuple));
-      }
+      for (const Entry& e : heap_) order_.push_back(e.id);
       heap_.clear();
     }
     return Status::OK();
@@ -1397,9 +1438,7 @@ class TopKExec : public ExecNode {
   Result<size_t> Next(TupleBatch* out) override {
     OODB_RETURN_IF_ERROR(env_.Tick());
     out->Clear();
-    while (!out->full() && pos_ < out_.size()) {
-      out->AppendRow().CopyFrom(out_[pos_++]);
-    }
+    rows_.Emit(order_, &pos_, out);
     return out->size();
   }
 
@@ -1407,84 +1446,53 @@ class TopKExec : public ExecNode {
 
  private:
   struct Entry {
-    std::vector<Value> keys;
+    uint32_t id = 0;
     int64_t seq = 0;
-    Tuple tuple;
   };
 
-  /// Lexicographic three-way comparison honoring per-key direction.
-  int CompareKeys(const std::vector<Value>& a,
-                  const std::vector<Value>& b) const {
-    const std::vector<SortKey>& keys = op_.sort.keys;
-    for (size_t i = 0; i < keys.size(); ++i) {
-      int c = a[i].Compare(b[i]);
-      if (c != 0) return keys[i].desc ? -c : c;
-    }
-    return 0;
+  int Order(const EncodedRow& a, const EncodedRow& b) const {
+    return rows_.codec().Compare(a, b, 0, rows_.nkeys());
   }
 
-  /// True when entry `a` is worse than `b` (comes later in sort order, or
+  /// True when row `a` is worse than `b` (comes later in sort order, or
   /// equal but inserted later) — the max-heap ordering: the root is the
   /// worst survivor, the first to be evicted.
-  bool Worse(const Entry& a, const Entry& b) const {
-    int c = CompareKeys(a.keys, b.keys);
+  bool Worse(const EncodedRow& a, int64_t a_seq, const EncodedRow& b,
+             int64_t b_seq) const {
+    int c = Order(a, b);
     if (c != 0) return c > 0;
-    return a.seq > b.seq;
+    return a_seq > b_seq;
   }
 
-  Status AbsorbBatch(TupleBatch* batch, size_t k) {
-    // Columnar pre-screen: once the heap is full, a row strictly worse than
-    // the root on the *leading* key alone can never enter. One typed
-    // compare rejects it without evaluating the remaining keys or building
-    // Values. (Rows with an unloaded leading slot fall through to the row
-    // path, which raises the proper error.)
-    const ColumnView* lead = nullptr;
-    if (env_.vectorize && heap_.size() >= k && !heap_.empty() &&
-        heap_.front().keys[0].kind != Value::Kind::kString) {
-      const SortKey& k0 = op_.sort.keys[0];
-      lead = batch->ExtractFieldColumn(k0.binding, k0.field, nullptr);
-    }
-    for (size_t i = 0; i < batch->active(); ++i) {
+  Status AbsorbBatch(const TupleBatch& batch, size_t k) {
+    // One heap operation: ~log2(k+1) comparisons.
+    double log_k = 1.0;
+    while ((1ull << static_cast<unsigned>(log_k)) < k + 1) log_k += 1.0;
+    auto worse = [this](const Entry& a, const Entry& b) {
+      // std heap: "less" puts the max at the root.
+      return Worse(rows_.Get(b.id), b.seq, rows_.Get(a.id), a.seq);
+    };
+    for (size_t i = 0; i < batch.active(); ++i) {
       env_.clock().cpu_s += env_.timing().cpu_pred_s;
-      if (lead != nullptr) {
-        size_t phys = batch->active_index(i);
-        if (lead->loaded_at(phys)) {
-          const Value& worst = heap_.front().keys[0];
-          double v = lead->is_real ? lead->reals[phys]
-                                   : static_cast<double>(lead->ints[phys]);
-          double w = worst.kind == Value::Kind::kDouble
-                         ? worst.d
-                         : static_cast<double>(worst.i);
-          bool rejected = op_.sort.keys[0].desc ? v < w : v > w;
-          if (rejected) continue;
-        }
-      }
-      TupleRef t = batch->active_ref(i);
-      Entry e;
-      e.keys.reserve(key_exprs_.size());
-      for (const ScalarExprPtr& expr : key_exprs_) {
-        OODB_ASSIGN_OR_RETURN(Value v, EvalExpr(*expr, t, *env_.ctx));
-        e.keys.push_back(std::move(v));
-      }
-      e.seq = seq_++;
+      OODB_RETURN_IF_ERROR(rows_.Stage(batch.active_ref(i), *env_.ctx));
+      const int64_t seq = seq_++;
       if (heap_.size() >= k) {
-        if (!Worse(heap_.front(), e)) continue;  // not better than the worst
+        const Entry& root = heap_.front();
+        // Not better than the worst survivor.
+        if (!Worse(rows_.Get(root.id), root.seq, rows_.staged(), seq)) continue;
       }
-      e.tuple = Tuple(t);
-      // One heap operation: ~log2(k+1) comparisons.
-      double log_k = 1.0;
-      while ((1ull << static_cast<unsigned>(log_k)) < k + 1) log_k += 1.0;
       env_.clock().cpu_s += log_k * env_.timing().cpu_hash_probe_s;
-      auto worse = [this](const Entry& a, const Entry& b) {
-        return Worse(b, a);  // std heap: "less" puts the max at the root
-      };
+      uint32_t id;
       if (heap_.size() >= k) {
         std::pop_heap(heap_.begin(), heap_.end(), worse);
+        id = heap_.back().id;
         heap_.pop_back();
       } else {
         OODB_RETURN_IF_ERROR(env_.ChargeBuffered());
+        id = static_cast<uint32_t>(rows_.size());
       }
-      heap_.push_back(std::move(e));
+      rows_.Store(id);
+      heap_.push_back(Entry{id, seq});
       std::push_heap(heap_.begin(), heap_.end(), worse);
       if (prof_ != nullptr) {
         prof_->topk_heap =
@@ -1498,10 +1506,11 @@ class TopKExec : public ExecNode {
   PhysicalOp op_;
   std::unique_ptr<ExecNode> child_;
   OpProfile* prof_;
-  std::vector<ScalarExprPtr> key_exprs_;
+  const bool streaming_;
+  KeyedRows rows_;
   std::vector<Entry> heap_;
   int64_t seq_ = 0;
-  std::vector<Tuple> out_;
+  std::vector<uint32_t> order_;
   size_t pos_ = 0;
 };
 

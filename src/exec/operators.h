@@ -65,14 +65,6 @@ struct ExecEnv {
   /// wall-clock time only.
   bool vectorize = false;
 
-  /// Top-k fast paths (the exec.topk knob). Off, TopKExec abandons the
-  /// bounded heap and the streaming first-k cutoff for the oracle
-  /// strategy — buffer every row, stable-sort, truncate — which the parity
-  /// suite diffs against the fast paths row for row. Results are identical;
-  /// simulated charges honestly follow the naive algorithm, so this is a
-  /// testing knob, not a tuning one.
-  bool topk = true;
-
   /// EXPLAIN ANALYZE collector (null = off, the zero-overhead default: no
   /// decorators are built and every code path is bit-identical). When set,
   /// BuildExecNode wraps each operator in a recording decorator writing

@@ -55,7 +55,12 @@ void WorkerPool::Submit(std::function<void()> fn) {
   {
     MutexLock lock(mu_);
     tasks_.push_back(std::move(fn));
-    if (idle_ == 0) {
+    // Each idle thread claims exactly one queued task (it decrements idle_
+    // and pops under this lock), and several tasks can be queued before
+    // the notified threads wake, so every task beyond idle_ needs a new
+    // thread. A merging Exchange relies on this: its consumer waits on
+    // every partition's first batch while the others block on full queues.
+    if (tasks_.size() > idle_) {
       threads_.emplace_back(&WorkerPool::Loop, this);
       PoolMetrics::Get().threads->Set(static_cast<double>(threads_.size()));
     }

@@ -8,10 +8,11 @@
 // threads.
 //
 // The pool grows lazily — a new thread is spawned only when a task is
-// submitted and no worker is idle — so it converges on the peak concurrent
-// demand (the largest DOP in flight) and never holds more. Pool threads may
-// block inside tasks (producers blocking on a full batch queue is normal);
-// that is safe because the blocked producer's consumer is never a pool task.
+// submitted and the queued tasks outnumber the idle workers — so it
+// converges on the peak concurrent demand (the largest DOP in flight).
+// Pool threads may block inside tasks (producers blocking on a full batch
+// queue is normal); that is safe because the blocked producer's consumer
+// is never a pool task.
 #ifndef OODB_EXEC_WORKER_POOL_H_
 #define OODB_EXEC_WORKER_POOL_H_
 

@@ -350,35 +350,54 @@ TEST_F(ExchangeTest, TopKUnderDopMatchesSerialPrefix) {
 }
 
 TEST_F(ExchangeTest, TopKFastPathsMatchOracle) {
-  // exec.topk == false switches TopKExec to buffer-all / stable-sort /
-  // truncate. The bounded heap (unsorted input) and the streaming first-k
-  // cutoff must both be row-for-row identical to that oracle.
-  const std::string heap_q =
-      "SELECT a.x, a.id FROM AtomicPart a IN AtomicParts "
-      "WHERE a.x >= 0 ORDER BY a.x, a.id LIMIT 25;";
-  Planned p = Plan(heap_q, /*max_dop=*/1);
-  ASSERT_EQ(CountOps(*p.plan, PhysOpKind::kTopK), 1)
-      << PrintPlan(*p.plan, p.ctx);
+  // The bounded heap must deliver exactly the first k rows of the reference
+  // evaluator's output stable-sorted on the ORDER BY keys (reference rows
+  // arrive in scan order, the tie order TopK's arrival sequence keeps), on
+  // both engines. The second query leaves ties in x across the k boundary.
+  struct Case {
+    const char* text;
+    std::vector<std::pair<size_t, bool>> keys;  // select column, desc
+    size_t k;
+  } cases[] = {
+      {"SELECT a.x, a.id FROM AtomicPart a IN AtomicParts "
+       "WHERE a.x >= 0 ORDER BY a.x, a.id LIMIT 25;",
+       {{0, false}, {1, false}}, 25},
+      {"SELECT a.x, a.id FROM AtomicPart a IN AtomicParts "
+       "WHERE a.x >= 0 ORDER BY a.x DESC LIMIT 25;",
+       {{0, true}}, 25},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.text);
+    Planned p = Plan(c.text, /*max_dop=*/1);
+    ASSERT_EQ(CountOps(*p.plan, PhysOpKind::kTopK), 1)
+        << PrintPlan(*p.plan, p.ctx);
+    auto reference = EvaluateReference(*p.logical, &store(), p.ctx);
+    ASSERT_TRUE(reference.ok()) << reference.status();
+    std::vector<std::vector<Value>> rows = reference->rows;
+    std::stable_sort(rows.begin(), rows.end(),
+                     [&c](const std::vector<Value>& a,
+                          const std::vector<Value>& b) {
+                       for (const auto& [col, desc] : c.keys) {
+                         int cmp = a[col].Compare(b[col]);
+                         if (cmp != 0) return desc ? cmp > 0 : cmp < 0;
+                       }
+                       return false;
+                     });
+    ASSERT_GT(rows.size(), c.k);
+    rows.resize(c.k);
 
-  ExecOptions fast;
-  fast.sample_limit = 1 << 22;
-  fast.batch_size = 1024;
-  fast.vectorize = 0;
-  ExecOptions oracle = fast;
-  oracle.topk = false;
-  auto rf = ExecutePlan(*p.plan, &store(), &p.ctx, fast);
-  auto ro = ExecutePlan(*p.plan, &store(), &p.ctx, oracle);
-  ASSERT_TRUE(rf.ok()) << rf.status();
-  ASSERT_TRUE(ro.ok()) << ro.status();
-  ASSERT_EQ(rf->rows, 25);
-  EXPECT_EQ(RowSeq(rf->sample_rows), RowSeq(ro->sample_rows));
-
-  // Columnar pre-screen variant of the heap path against the same oracle.
-  ExecOptions vec = fast;
-  vec.vectorize = 1;
-  auto rv = ExecutePlan(*p.plan, &store(), &p.ctx, vec);
-  ASSERT_TRUE(rv.ok()) << rv.status();
-  EXPECT_EQ(RowSeq(rv->sample_rows), RowSeq(ro->sample_rows));
+    for (int vectorize : {0, 1}) {
+      SCOPED_TRACE(vectorize);
+      ExecOptions eo;
+      eo.sample_limit = 1 << 22;
+      eo.batch_size = 1024;
+      eo.vectorize = vectorize;
+      auto stats = ExecutePlan(*p.plan, &store(), &p.ctx, eo);
+      ASSERT_TRUE(stats.ok()) << stats.status();
+      ASSERT_EQ(stats->rows, static_cast<int64_t>(c.k));
+      EXPECT_EQ(RowSeq(stats->sample_rows), RowSeq(rows));
+    }
+  }
 }
 
 /// A randomized ordered (optionally limited) single-scan query whose ORDER
